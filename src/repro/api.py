@@ -86,12 +86,13 @@ from .cache import (
     load_snapshot,
     save_snapshot,
 )
-from .core.determinism import DeterminismReport, check_deterministic
+from .core.determinism import DeterminismChecker, DeterminismReport, check_deterministic
 from .core.numeric import NumericDeterminismReport, check_deterministic_numeric
 from .diagnostics import MatchResult
 from .errors import NotDeterministicError
 from .matching.base import DeterministicMatcher, MatchRun
-from .matching.dispatch import build_matcher
+from .matching.dispatch import strategy_class
+from .matching.kore import KOccurrenceMatcher
 from .matching.plan import PLANNER, ExecutionPlan
 from .matching.runtime import CompiledRun, CompiledRuntime, compile_runtime
 from .regex.ast import Regex
@@ -106,7 +107,8 @@ class Pattern:
     Construction parses (if needed), normalises, builds the parse tree and
     runs the determinism test; the matcher itself is built lazily on first
     use so that callers who only want the determinism verdict never pay
-    for matcher preprocessing.
+    for matcher preprocessing.  The test's follow index is kept and reused
+    by every engine the pattern builds, so a pattern builds one LCA index.
 
     Determinism semantics: for expressions written in the paper's grammar
     (symbols, concatenation, union, ``?``, ``*``) the verdict comes from
@@ -141,8 +143,9 @@ class Pattern:
             expr = parse(expr, dialect=dialect)
         self.expression: Regex = expr
         self.tree: ParseTree = build_parse_tree(expr)
+        checker = DeterminismChecker(self.tree)
         #: verdict of the paper's linear-time test on the normalised (star-only) tree
-        self.tree_report: DeterminismReport = check_deterministic(self.tree)
+        self.tree_report: DeterminismReport = checker.report()
         self._needs_native_semantics = _uses_extended_operators(expr)
         if self._needs_native_semantics:
             self.report: DeterminismReport | NumericDeterminismReport = (
@@ -150,7 +153,23 @@ class Pattern:
             )
         else:
             self.report = self.tree_report
-        self._strategy = strategy
+        #: the class of the (lazily built) matcher, and the test's checker
+        #: it is built with; the checker's follow index serves every engine
+        #: of the pattern, and its skeletons survive only for a matcher that
+        #: reads them
+        self._matcher_class: type[DeterministicMatcher] | None = None
+        self._checker: DeterminismChecker | None = None
+        if self.report.deterministic:
+            if self.tree_report.deterministic:
+                self._matcher_class = strategy_class(self.tree, strategy)
+            else:
+                # Deterministic under the native +/counter semantics but not
+                # after the language-preserving rewriting: fall back to the
+                # k-occurrence matcher (see the class docstring).
+                self._matcher_class = KOccurrenceMatcher
+            if not self._matcher_class.reads_skeletons:
+                checker.release_skeletons()
+            self._checker = checker
         self._compiled = compiled
         self._matcher: DeterministicMatcher | None = None
         self._runtime: CompiledRuntime | None = None
@@ -195,15 +214,7 @@ class Pattern:
             with self._init_lock:
                 matcher = self._matcher
                 if matcher is None:
-                    if self.tree_report.deterministic:
-                        matcher = build_matcher(self.tree, strategy=self._strategy, verify=False)
-                    else:
-                        # Deterministic under the native +/counter semantics but not
-                        # after the language-preserving rewriting: fall back to the
-                        # k-occurrence matcher (see the class docstring).
-                        from .matching.kore import KOccurrenceMatcher
-
-                        matcher = KOccurrenceMatcher(self.tree, verify=False)
+                    matcher = self._matcher_class(self.tree, verify=False, checker=self._checker)
                     # A runtime created before the matcher (the snapshot
                     # path) becomes the matcher's attached runtime, so
                     # compile_runtime(pattern.matcher) keeps returning it.

@@ -94,8 +94,30 @@ class DeterminismChecker:
     def __init__(self, tree: ParseTree, follow: FollowIndex | None = None):
         self.tree = tree
         self.follow = follow if follow is not None else FollowIndex(tree)
-        self.skeletons = SkeletonIndex(tree, self.follow)
+        self._skeletons: SkeletonIndex | None = SkeletonIndex(tree, self.follow)
         self._report: DeterminismReport | None = None
+
+    @property
+    def skeletons(self) -> SkeletonIndex:
+        """The skeleton index (rebuilt over :attr:`follow` after a release)."""
+        if self._skeletons is None:
+            self._skeletons = SkeletonIndex(self.tree, self.follow)
+        return self._skeletons
+
+    def release_skeletons(self) -> None:
+        """Settle the report, then drop the skeleton index to free its memory.
+
+        For holders that keep the checker only for its report and its
+        follow index, such as a pattern whose matcher never reads skeletons.
+        """
+        self.report()
+        if self._skeletons is not None:
+            # Parent links make every skeleton a reference cycle; breaking
+            # them frees the nodes now instead of at a full collection.
+            for skeleton in self._skeletons.skeletons.values():
+                for node in skeleton.nodes:
+                    node.parent = None
+            self._skeletons = None
 
     # -- public API ------------------------------------------------------------------
     def report(self) -> DeterminismReport:

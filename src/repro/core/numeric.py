@@ -29,9 +29,15 @@ the text).  This module reconstructs the analysis:
 The test is exact on every example discussed in the paper and in [19]'s
 abstract; because the count-rigidity test is sufficient but not necessary,
 it may flag as non-deterministic some exotic rigid nestings that a full
-implementation of [19, Theorem 5.5] would accept.  The direction of the
-approximation (never accepting a truly ambiguous expression) and the
-O(σ|e|) cost of the constant-multiplicity maps are recorded in DESIGN.md.
+implementation of [19, Theorem 5.5] would accept, but it never accepts a
+truly ambiguous expression.
+
+Cost.  The per-symbol multiplicity maps cost O(σ|e|), so they are built
+lazily: only a rigid candidate ``f{k,k}`` with ``k ≥ 2`` and ``f`` not
+nullable asks for the maps of ``f``'s subtree, memoised per node, and an
+expression without such a counter builds none.  The follow sets, however,
+are still materialised position by position, which is Θ(m²) on
+``(a1+…+am)*``: unlike the Theorem 3.5 test this analysis is not linear.
 """
 
 from __future__ import annotations
@@ -116,8 +122,9 @@ class _Node:
         self.nullable = False
         self.first: list[int] = []
         self.last: list[int] = []
-        #: per-symbol (min, max) multiplicities over L(subexpression)
-        self.counts: dict[str, tuple[float, float]] = {}
+        #: per-symbol (min, max) multiplicities over L(subexpression);
+        #: ``None`` until a rigid counter asks (see ``_counts``)
+        self.counts: dict[str, tuple[float, float]] | None = None
         self.flexible = False
         self.position: int | None = None
 
@@ -220,13 +227,12 @@ class NumericDeterminismChecker:
         return order
 
     def _compute_sets(self, node: _Node) -> None:
-        """Nullability, First/Last sets and per-symbol multiplicity intervals."""
+        """Nullability, First/Last sets and the flexibility of iterators."""
         kind = node.kind
         if kind == "symbol":
             node.nullable = False
             node.first = [node.position]
             node.last = [node.position]
-            node.counts = {node.symbol: (1, 1)}
             return
         if kind == "epsilon":
             node.nullable = True
@@ -236,14 +242,12 @@ class NumericDeterminismChecker:
             node.nullable = left.nullable and right.nullable
             node.first = list(left.first) + (list(right.first) if left.nullable else [])
             node.last = list(right.last) + (list(left.last) if right.nullable else [])
-            node.counts = _sum_counts(left.counts, right.counts)
             return
         if kind == "union":
             left, right = node.children
             node.nullable = left.nullable or right.nullable
             node.first = list(left.first) + list(right.first)
             node.last = list(left.last) + list(right.last)
-            node.counts = _union_counts(left.counts, right.counts)
             return
         if kind == "repeat":
             (child,) = node.children
@@ -251,13 +255,11 @@ class NumericDeterminismChecker:
             node.nullable = low == 0 or child.nullable
             node.first = list(child.first)
             node.last = list(child.last)
-            node.counts = _scale_counts(child.counts, low, high)
             node.flexible = self._is_flexible(child, low, high)
             return
         raise InvalidExpressionError(f"unexpected node kind {kind}")  # pragma: no cover
 
-    @staticmethod
-    def _is_flexible(child: _Node, low: int, high: int | None) -> bool:
+    def _is_flexible(self, child: _Node, low: int, high: int | None) -> bool:
         """Flexibility of ``child{low, high}`` (see the module docstring)."""
         if high is UNBOUNDED:
             return True
@@ -268,7 +270,34 @@ class NumericDeterminismChecker:
             return True
         if child.nullable:
             return True
-        return not _count_rigid(child.counts)
+        return not _count_rigid(self._counts(child))
+
+    @staticmethod
+    def _counts(node: _Node) -> dict[str, tuple[float, float]]:
+        """The multiplicity map of *node*, computing its missing subtree maps once."""
+        pending: list[_Node] = []
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            if current.counts is None:
+                pending.append(current)
+                stack.extend(current.children)
+        for current in reversed(pending):  # children before their parents
+            kind = current.kind
+            if kind == "symbol":
+                current.counts = {current.symbol: (1, 1)}
+            elif kind == "epsilon":
+                current.counts = {}
+            elif kind == "concat":
+                left, right = current.children
+                current.counts = _sum_counts(left.counts, right.counts)
+            elif kind == "union":
+                left, right = current.children
+                current.counts = _union_counts(left.counts, right.counts)
+            else:
+                (child,) = current.children
+                current.counts = _scale_counts(child.counts, current.low, current.high)
+        return node.counts
 
     # -- follow contributions ---------------------------------------------------------------
     def _add_follow_contributions(self, node: _Node) -> None:

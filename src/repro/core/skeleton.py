@@ -22,7 +22,12 @@ share a decomposition of the parse tree built here:
   non-determinism on the fly, and property (P2) — every ``Next`` set has
   at most one element — is checked as the sets are produced.
 
-Everything is computed in one pass over all skeleta, i.e. in O(|e|).
+Positions and colored nodes are bucketed by symbol once (the parse tree's
+``positions_by_symbol`` table and the color buckets filled while colors
+are assigned), so building the a-skeleton touches only the class-a nodes
+and never rescans the whole tree per symbol.  All skeleta together are
+therefore built in O(|e|), apart from one pre-order sort per skeleton
+(a merge of two sorted runs for the base nodes).
 """
 
 from __future__ import annotations
@@ -141,6 +146,8 @@ class SkeletonIndex:
         self.diagnostics = SkeletonDiagnostics()
         #: colors per node: ``colors[node.index][symbol] -> witness position``
         self.colors: dict[int, dict[str, TreeNode]] = {}
+        #: colored nodes per symbol, in pre-order
+        self._colored_by_symbol: dict[str, list[TreeNode]] = {}
         #: skeleton per symbol (only symbols that actually occur)
         self.skeletons: dict[str, SymbolSkeleton] = {}
         self._assign_colors()
@@ -168,16 +175,15 @@ class SkeletonIndex:
             if colored is None:  # pragma: no cover - SupFirst nodes have parents
                 continue
             self.colors.setdefault(colored.index, {})[position.symbol] = position
+        # One pre-order sweep buckets the colored nodes by symbol.
+        buckets = self._colored_by_symbol
+        for node in self.tree.nodes:
+            for symbol in self.colors.get(node.index, ()):
+                buckets.setdefault(symbol, []).append(node)
 
     def colored_nodes(self, symbol: str) -> list[TreeNode]:
         """The nodes carrying color *symbol*, in pre-order."""
-        nodes = [
-            self.tree.nodes[index]
-            for index, by_symbol in self.colors.items()
-            if symbol in by_symbol
-        ]
-        nodes.sort(key=lambda node: node.pre)
-        return nodes
+        return list(self._colored_by_symbol.get(symbol, ()))
 
     def witness(self, node: TreeNode, symbol: str) -> TreeNode | None:
         """``Witness(node, symbol)`` — the witness position, if the node has the color."""
@@ -207,12 +213,14 @@ class SkeletonIndex:
                 self._build_next(skeleton)
 
     def _build_one_skeleton(self, symbol: str) -> SymbolSkeleton | None:
-        positions = [p for p in self.tree.positions if p.symbol == symbol]
         if symbol == START_SENTINEL:
             return None
-        colored = self.colored_nodes(symbol)
-        base = sorted({node.index: node for node in positions + colored}.values(),
-                      key=lambda node: node.pre)
+        # Positions are leaves and colored nodes are parents, so the two
+        # pre-ordered buckets are disjoint and sorting merges two runs.
+        base = sorted(
+            self.tree.positions_by_symbol(symbol) + self._colored_by_symbol.get(symbol, []),
+            key=lambda node: node.pre,
+        )
         if not base:
             return None
 

@@ -17,7 +17,10 @@ points out; :class:`MatchRun` exposes that streaming interface directly
 Matchers are only correct on deterministic expressions; by default the
 constructor runs the linear-time determinism test and raises
 :class:`~repro.errors.NotDeterministicError` on failure (pass
-``verify=False`` to skip the check when the caller already knows).
+``verify=False`` to skip the check when the caller already knows).  A
+caller that already ran the test passes its
+:class:`~repro.core.determinism.DeterminismChecker`, so the matcher reuses
+its follow index instead of building a second one.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class DeterministicMatcher(ABC):
 
     #: short machine-readable name used by the dispatcher and the benchmarks
     name = "abstract"
+    #: whether transition simulation reads the checker's skeleton index
+    reads_skeletons = False
 
     def __init__(
         self,

@@ -24,6 +24,7 @@ class ClimbingMatcher(DeterministicMatcher):
     """Transition simulation by climbing to the lowest colored ancestor."""
 
     name = "climbing"
+    reads_skeletons = True
 
     def _prepare(self) -> None:
         self._skeletons = self.checker.skeletons

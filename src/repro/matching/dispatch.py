@@ -53,6 +53,21 @@ def select_strategy(tree: ParseTree) -> str:
     return LowestColoredAncestorMatcher.name
 
 
+def strategy_class(tree: ParseTree, strategy: str = "auto") -> type[DeterministicMatcher]:
+    """The matcher class *strategy* names for *tree* (``"auto"``: the dispatch rule).
+
+    *strategy* is ``"auto"`` or one of the names in :data:`STRATEGIES`.
+    """
+    name = select_strategy(tree) if strategy == "auto" else strategy
+    matcher_class = STRATEGIES.get(name)
+    if matcher_class is None:
+        raise ValueError(
+            f"unknown matching strategy {strategy!r}; expected 'auto' or one of "
+            f"{sorted(STRATEGIES)}"
+        )
+    return matcher_class
+
+
 def build_matcher(
     expr: Regex | ParseTree | str,
     strategy: str = "auto",
@@ -64,11 +79,4 @@ def build_matcher(
     *strategy* is ``"auto"`` or one of the names in :data:`STRATEGIES`.
     """
     tree = expr if isinstance(expr, ParseTree) else build_parse_tree(expr)
-    name = select_strategy(tree) if strategy == "auto" else strategy
-    matcher_class = STRATEGIES.get(name)
-    if matcher_class is None:
-        raise ValueError(
-            f"unknown matching strategy {strategy!r}; expected 'auto' or one of "
-            f"{sorted(STRATEGIES)}"
-        )
-    return matcher_class(tree, verify=verify, checker=checker)
+    return strategy_class(tree, strategy)(tree, verify=verify, checker=checker)

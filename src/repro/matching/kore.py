@@ -28,19 +28,14 @@ class KOccurrenceMatcher(DeterministicMatcher):
     name = "k-occurrence"
 
     def _prepare(self) -> None:
-        # One list of positions per symbol, gathered in a single pass; the
-        # list for symbol a has length <= k by definition of k-ORE.
-        self._positions_by_symbol: dict[str, list[TreeNode]] = {}
-        for position in self.tree.positions:
-            self._positions_by_symbol.setdefault(position.symbol, []).append(position)
+        # The tree's per-symbol position table; the list for symbol a has
+        # length <= k by definition of k-ORE.
+        self._positions_by_symbol = self.tree.symbol_positions
 
     @property
     def occurrence_bound(self) -> int:
         """The ``k`` of the expression (maximum positions sharing a symbol)."""
-        return max(
-            (len(ps) for s, ps in self._positions_by_symbol.items() if s not in ("#", "$")),
-            default=0,
-        )
+        return self.tree.occurrence_count()
 
     def next_position(self, position: TreeNode, symbol: str) -> TreeNode | None:
         """Probe the (at most k) candidate positions labelled *symbol*."""
@@ -66,16 +61,13 @@ class SubsetKOccurrenceMatcher:
     def __init__(self, expr: Regex | ParseTree | str):
         self.tree = expr if isinstance(expr, ParseTree) else build_parse_tree(expr)
         self.follow = FollowIndex(self.tree)
-        self._positions_by_symbol: dict[str, list[TreeNode]] = {}
-        for position in self.tree.positions:
-            self._positions_by_symbol.setdefault(position.symbol, []).append(position)
 
     def step(self, current: list[TreeNode], symbol: str) -> list[TreeNode]:
         """All *symbol*-labelled positions following any position of *current*."""
         follows = self.follow.follows
         return [
             candidate
-            for candidate in self._positions_by_symbol.get(symbol, ())
+            for candidate in self.tree.positions_by_symbol(symbol)
             if any(follows(position, candidate) for position in current)
         ]
 

@@ -26,6 +26,7 @@ class LowestColoredAncestorMatcher(DeterministicMatcher):
     """Theorem 4.2: matching arbitrary deterministic expressions."""
 
     name = "lowest-colored-ancestor"
+    reads_skeletons = True
 
     def _prepare(self) -> None:
         skeletons = self.checker.skeletons

@@ -380,7 +380,9 @@ class StarFreePlan(CompiledPlan):
                 if multi is None:
                     from .star_free import StarFreeMultiMatcher
 
-                    multi = StarFreeMultiMatcher(self.pattern.tree, verify=False)
+                    multi = StarFreeMultiMatcher(
+                        self.pattern.tree, verify=False, follow=self.pattern._checker.follow
+                    )
                     self._multi = multi
         return multi
 

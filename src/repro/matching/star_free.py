@@ -66,11 +66,18 @@ class StarFreeMultiMatcher:
 
     name = "star-free-multi"
 
-    def __init__(self, expr: Regex | ParseTree | str, verify: bool = True):
+    def __init__(
+        self,
+        expr: Regex | ParseTree | str,
+        verify: bool = True,
+        follow: FollowIndex | None = None,
+    ):
         self.tree = expr if isinstance(expr, ParseTree) else build_parse_tree(expr)
         if any(node.is_iteration for node in self.tree.nodes):
             raise ValueError("StarFreeMultiMatcher requires a star-free expression")
-        self.follow = FollowIndex(self.tree)
+        if follow is not None and follow.tree is not self.tree:
+            raise ValueError("the supplied follow index was built for a different parse tree")
+        self.follow = follow if follow is not None else FollowIndex(self.tree)
         if verify:
             report = DeterminismChecker(self.tree, self.follow).report()
             if not report.deterministic:

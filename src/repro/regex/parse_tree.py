@@ -227,14 +227,19 @@ class ParseTree:
         """Number of positions including the two sentinels."""
         return len(self.positions)
 
-    def positions_by_symbol(self, symbol: str) -> list[TreeNode]:
-        """Return the positions labelled *symbol*, in left-to-right order."""
+    @property
+    def symbol_positions(self) -> dict[str, list[TreeNode]]:
+        """Symbol → its positions in left-to-right order (built once; read-only)."""
         if self._positions_by_symbol is None:
             table: dict[str, list[TreeNode]] = {}
             for position in self.positions:
                 table.setdefault(position.symbol, []).append(position)
             self._positions_by_symbol = table
-        return self._positions_by_symbol.get(symbol, [])
+        return self._positions_by_symbol
+
+    def positions_by_symbol(self, symbol: str) -> list[TreeNode]:
+        """Return the positions labelled *symbol*, in left-to-right order."""
+        return self.symbol_positions.get(symbol, [])
 
     def occurrence_count(self) -> int:
         """Maximum occurrences of any user symbol (the ``k`` of k-ORE)."""

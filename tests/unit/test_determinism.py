@@ -161,3 +161,15 @@ class TestInputKinds:
     )
     def test_handpicked_cases(self, text, expected):
         assert is_deterministic(text) is expected
+
+
+class TestReleasedSkeletons:
+    @pytest.mark.parametrize("text", ["(ab+b(b?)a)*", "(a*ba+bb)*"])
+    def test_release_keeps_the_report_and_rebuilds_on_demand(self, text):
+        checker = DeterminismChecker(build_parse_tree(text))
+        report = checker.report()
+        size = checker.skeletons.total_skeleton_size()
+        checker.release_skeletons()
+        assert checker._skeletons is None
+        assert checker.report() is report
+        assert checker.skeletons.total_skeleton_size() == size

@@ -1,13 +1,25 @@
 """Unit tests for determinism with numeric occurrence indicators (Section 3.3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.numeric import (
     NumericDeterminismChecker,
     check_deterministic_numeric,
     is_deterministic_numeric,
 )
-from repro.regex.ast import Repeat, Sym, concat, repeat, sym, union
+from repro.regex.ast import (
+    Concat,
+    Plus,
+    Repeat,
+    Star,
+    Sym,
+    Union,
+    concat,
+    repeat,
+    sym,
+    union,
+)
 from repro.regex.parser import parse
 
 
@@ -164,3 +176,66 @@ class TestFollowEdgeProvenance:
         assert not report.deterministic
         assert report.conflict is not None
         assert report.conflict.first.symbol == report.conflict.second.symbol == "d"
+
+
+class TestLazyCounts:
+    """Multiplicity maps are built only when a rigid ``f{k,k}`` asks for them."""
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            parse("(item note?)+ tail*", dialect="named"),
+            parse("(a b?)* c"),
+            parse("(ab){2,5}c*"),
+            repeat(concat(sym("a"), parse("b{2,5}")), 1, None),
+        ],
+        ids=["plus", "star-optional", "flexible-range", "range-under-plus"],
+    )
+    def test_no_rigid_counter_builds_no_counts(self, expr):
+        checker = NumericDeterminismChecker(expr)
+        assert checker.report().deterministic
+        assert all(node.counts is None for node in checker._nodes)
+
+    def test_rigid_counter_builds_only_its_body(self):
+        checker = NumericDeterminismChecker(parse("(ab){2}c*d"))
+        built = [node for node in checker._nodes if node.counts is not None]
+        # the body ``ab`` and its two symbols; nothing outside the counter
+        assert sorted(node.kind for node in built) == ["concat", "symbol", "symbol"]
+
+
+class _EagerCounts(NumericDeterminismChecker):
+    """The checker with every node's multiplicity map forced up front."""
+
+    def _analyse(self) -> None:
+        for node in self._nodes:
+            self._counts(node)
+        super()._analyse()
+
+
+_BOUNDS = st.sampled_from([(0, 1), (1, 2), (2, 2), (2, 3), (3, 3), (0, 2), (1, None)])
+
+
+def _bounded_expressions():
+    """Random ASTs with small ``{i,j}`` bounds (rigid ones included) under ``+``/``*``."""
+
+    def extend(children):
+        return st.one_of(
+            children.map(Star),
+            children.map(Plus),
+            st.builds(lambda child, bound: Repeat(child, *bound), children, _BOUNDS),
+            st.builds(Concat, children, children),
+            st.builds(Union, children, children),
+        )
+
+    return st.recursive(st.builds(Sym, st.sampled_from("abc")), extend, max_leaves=8)
+
+
+class TestLazyCountsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_bounded_expressions())
+    def test_forcing_counts_changes_no_flag_or_verdict(self, expr):
+        lazy = NumericDeterminismChecker(expr)
+        eager = _EagerCounts(expr)
+        assert all(node.counts is not None for node in eager._nodes)
+        assert lazy.flexibility() == eager.flexibility()
+        assert lazy.report() == eager.report()

@@ -22,9 +22,11 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro.core.skeleton import SkeletonIndex
 from repro.lexer import Lexer
 from repro.matching import kernel
 from repro.matching.plan import PLANNER
+from repro.structures.lca import LCAIndex
 from repro.xml.xsd import element_particle, sequence
 
 WORDS = ["ab", "aba", "abb", "ba", "", "abab", "bba", "abba", "b", "a"] * 2
@@ -115,6 +117,73 @@ class TestRouteMatchesExecution:
         assert pattern.match_all(["aba", "ba"]) == [True, False]
         assert pattern.plan.built_runtime() is None
         assert pattern.plan.built_star_free() is None
+
+
+class TestOneFollowIndexPerPattern:
+    """``compile`` + first ``match`` + ``match_all`` build one LCA index per pattern.
+
+    The determinism test's follow index is handed to every engine the
+    pattern builds: the matcher, the star-free multi-matcher and the
+    k-occurrence fallback.  Its skeletons go to the matchers that read
+    them and are never built a second time.
+    """
+
+    KERNEL = "compiled-kernel"
+    STARRED = "(ab+b(b?)a)*"
+    ROUTES = [
+        # (label, expression, Pattern keyword arguments, kernel table limit, route)
+        ("star-free-multi", "ab(a+b)", {}, None, "star-free-multi"),
+        ("compiled-kernel", STARRED, {}, None, KERNEL),
+        ("compiled-runtime", STARRED, {}, 1, "compiled-runtime"),
+        ("plus-fallback", "(a | b+)+", {"dialect": "named"}, None, KERNEL),
+        ("lowest-colored-ancestor", STARRED, {"strategy": "lowest-colored-ancestor"}, None, KERNEL),
+        ("climbing", STARRED, {"strategy": "climbing"}, None, KERNEL),
+    ]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count the constructions of the LCA and skeleton indexes."""
+        counts = {LCAIndex: 0, SkeletonIndex: 0}
+        for cls in counts:
+            original = cls.__init__
+
+            def counting_init(index, *args, _cls=cls, _original=original):
+                counts[_cls] += 1
+                _original(index, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        return counts
+
+    @pytest.mark.parametrize(
+        ("expr", "options", "table_limit", "route"),
+        [row[1:] for row in ROUTES],
+        ids=[row[0] for row in ROUTES],
+    )
+    def test_one_lca_index(self, builds, monkeypatch, expr, options, table_limit, route):
+        if table_limit is not None:
+            monkeypatch.setattr(kernel, "TABLE_LIMIT", table_limit)
+        words = [list(word) for word in WORDS]
+        pattern = repro.Pattern(expr, **options)
+        pattern.match(words[0])
+        verdicts = pattern.match_all(words)
+        assert builds == {LCAIndex: 1, SkeletonIndex: 1}
+        assert pattern.plan.route == route
+        assert verdicts == [bool(pattern.match(word)) for word in words]
+
+    @pytest.mark.parametrize(
+        ("strategy", "keeps_skeletons"),
+        [
+            ("k-occurrence", False),
+            ("path-decomposition", False),
+            ("lowest-colored-ancestor", True),
+            ("climbing", True),
+        ],
+    )
+    def test_skeletons_survive_only_for_matchers_that_read_them(self, strategy, keeps_skeletons):
+        pattern = repro.Pattern(self.STARRED, strategy=strategy)
+        assert pattern.match("abba")
+        assert (pattern._checker._skeletons is not None) is keeps_skeletons
+        assert pattern.matcher.follow is pattern._checker.follow
 
 
 class TestPlannerRegistry:

@@ -530,12 +530,17 @@ class TestSnapshotEndpoint:
 
     def test_failed_fetches_do_not_leak_file_descriptors(self):
         """A bootstrap retry loop against a dead fleet must not bleed fds."""
+        import gc
         import os
 
         fd_dir = "/proc/self/fd"
         if not os.path.isdir(fd_dir):  # pragma: no cover - non-Linux
             pytest.skip("needs /proc to count descriptors")
         repro.load_snapshot("http://127.0.0.1:9/snapshot")  # warm any lazy imports
+        # Collect first: an earlier test's adopted snapshot mmap, held by
+        # unreachable patterns, would otherwise close its fd whenever the
+        # collector happens to run inside the measured loop.
+        gc.collect()
         before = len(os.listdir(fd_dir))
         for _ in range(5):
             repro.load_snapshot("http://127.0.0.1:9/snapshot")
