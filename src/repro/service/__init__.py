@@ -32,7 +32,9 @@ Two entry points:
   backpressure, per-request deadlines (``X-Repro-Deadline-Ms``), content-
   negotiated violation detail levels and an ``Authorization: Bearer``
   hook; framing rules shared with the threaded front live in
-  :mod:`repro.service.wire`;
+  :mod:`repro.service.wire`, and what every request means (payload
+  checks, compile-and-verdict, response bodies, error statuses) in
+  :mod:`repro.service.routes`, so both fronts answer alike;
 * :mod:`repro.service.autosize` — telemetry-driven cache sizing
   (``--autosize``): a feedback loop resizing the compile cache
   (:func:`repro.resize_compile_cache`) and the per-pattern acceptance

@@ -34,9 +34,11 @@ endpoints from one event loop per process:
   platform has it, with strong ``ETag``/``Range``/``If-Range`` handling
   shared with the threaded front (:mod:`repro.service.wire`).
 
-Buffered JSON requests (``Content-Type: application/json``) are answered
-with exactly the threaded front's response shapes — the two fronts are
-verdict-identical by construction, which the property tests pin down.
+Buffered JSON requests (``Content-Type: application/json``, with a
+``Content-Length`` or chunked body) are answered with exactly the
+threaded front's response shapes: both fronts take their request
+semantics from :mod:`repro.service.routes`, which a parity test table
+and the property tests pin down.
 
 Runs standalone (``python -m repro.service --front aio``) or as the
 worker body of the prefork model (``--processes N --front aio``): each
@@ -47,25 +49,17 @@ from __future__ import annotations
 
 import asyncio
 import hmac
-import json
-import os
 import socket
 
-from .. import api
-from ..errors import NotDeterministicError, ReproError
-from ..xml.parser import parse_document
-from . import wire
+from . import routes, wire
 from .aio_frames import (
     COPY_BLOCK as _COPY_BLOCK,
     DEADLINE_HEADER as DEADLINE_HEADER,  # noqa: PLC0414 - re-exported wire constant
     body_lines as _body_lines,
+    chunked_frames as _chunked_frames,
     deadline_seconds as _deadline_seconds,
-    head_bytes as _head_bytes,
-    parse_document_item as _parse_document_text,
-    parse_word_item as _parse_word,
 )
 from .core import ValidationService
-from .http import MAX_BODY_BYTES
 from .prefork import StatsBoard, cluster_payload
 from .wire import WireError
 
@@ -83,9 +77,13 @@ MAX_PENDING_BATCHES = 8
 #: Seconds a keep-alive connection may sit idle between requests.
 IDLE_TIMEOUT = 75.0
 
+#: The client went away: counted as a disconnect, never answered.
+_DISCONNECTS = (ConnectionError, asyncio.IncompleteReadError)
 
-class _ResponseStarted(Exception):
-    """Internal: an error surfaced after response bytes were written."""
+_NDJSON_HEAD = wire.head_bytes(
+    200,
+    [("Content-Type", "application/x-ndjson; charset=utf-8"), ("Transfer-Encoding", "chunked")],
+)
 
 
 class AsyncServiceServer:
@@ -169,82 +167,6 @@ class AsyncServiceServer:
             token.strip(), self.auth_token
         )
 
-    # -- connection loop ----------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        try:
-            while True:
-                try:
-                    async with asyncio.timeout(self.idle_timeout):
-                        head_bytes = await reader.readuntil(b"\r\n\r\n")
-                except (asyncio.IncompleteReadError, TimeoutError):
-                    break  # clean EOF between requests, or idle too long
-                except asyncio.LimitOverrunError:
-                    await self._send_json(
-                        writer, 431, {"error": "request head too large"}, close=True
-                    )
-                    break
-                try:
-                    head = wire.parse_request_head(head_bytes[:-4])
-                    if not await self._dispatch(head, reader, writer):
-                        break
-                except WireError as error:
-                    # Protocol-level failure: the body position is
-                    # unknown, so answer and drop the connection.
-                    await self._send_json(
-                        writer, error.status, {"error": str(error)}, close=True
-                    )
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, BrokenPipeError):
-            self.disconnects += 1
-        except _ResponseStarted:
-            self.disconnects += 1
-        except asyncio.CancelledError:
-            pass  # server shutdown mid-request: drop the connection quietly
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-
-    async def _dispatch(
-        self, head: wire.RequestHead, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Route one request; returns whether the connection survives."""
-        open_paths = ("/", "/healthz")
-        if head.path not in open_paths and not self.authorize(head):
-            await self._send_json(
-                writer,
-                401,
-                {"error": "missing or invalid bearer token"},
-                close=True,
-                extra=[("WWW-Authenticate", "Bearer")],
-            )
-            return False
-        if head.method == "GET":
-            if not await self._drain_request_body(head, reader, writer):
-                return False
-            if head.path == "/stats":
-                await self._send_json(writer, 200, self.stats_payload())
-            elif head.path == "/snapshot":
-                return await self._send_snapshot(head, writer)
-            elif head.path in open_paths:
-                await self._send_json(writer, 200, {"status": "ok", "service": "repro"})
-            else:
-                await self._send_json(
-                    writer, 404, {"error": f"no such endpoint: {head.path}"}
-                )
-            return head.keep_alive()
-        if head.method == "POST":
-            return await self._handle_post(head, reader, writer)
-        await self._send_json(
-            writer, 405, {"error": f"method {head.method} not allowed"}, close=True
-        )
-        return False
-
     def stats_payload(self) -> dict:
         stats = self.service.stats()
         stats["aio"] = {
@@ -260,332 +182,172 @@ class AsyncServiceServer:
             stats["cluster"] = cluster_payload(self.board, self.processes)
         return stats
 
-    async def _drain_request_body(
-        self,
-        head: wire.RequestHead,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Consume a (rare) body on a GET so keep-alive framing survives.
+    # -- connection loop ----------------------------------------------------------------
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self.connections += 1
+        try:
+            while True:
+                try:
+                    async with asyncio.timeout(self.idle_timeout):
+                        raw = await reader.readuntil(b"\r\n\r\n")
+                except (asyncio.IncompleteReadError, TimeoutError):
+                    break  # clean EOF between requests, or idle too long
+                except asyncio.LimitOverrunError:
+                    await self._send_error(writer, WireError(431, "request head too large"))
+                    break
+                if not await self._serve(raw[:-4], reader, writer):
+                    break
+        except _DISCONNECTS:
+            self.disconnects += 1
+        except asyncio.CancelledError:
+            pass  # server shutdown mid-request: drop the connection quietly
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
 
-        Without this, the next ``readuntil`` on a reused connection would
-        parse body bytes as a request head and die with a spurious 400.
-        Bodies beyond :data:`MAX_BODY_BYTES` are refused with the
-        connection closed — same bound as every other body path.
+    async def _serve(
+        self, raw: bytes, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Answer one request; returns whether the connection survives.
+
+        An error before the request body is consumed closes the
+        connection (the next request's position is unknown); one after
+        it is answered on a connection that stays open.  Disconnects
+        propagate to the connection loop.
         """
-        drained = 0
+        consumed = False
+        snapshot = None
+        try:
+            head = wire.parse_request_head(raw)
+            if head.path not in routes.OPEN_PATHS and not self.authorize(head):
+                raise WireError(
+                    401, "missing or invalid bearer token", (("WWW-Authenticate", "Bearer"),)
+                )
+            if head.method not in ("GET", "POST"):
+                raise WireError(405, f"method {head.method} not allowed")
+            if head.method == "POST":
+                if head.path not in routes.POST_ROUTES:
+                    raise routes.not_found(head.path)
+                if head.wants_ndjson():
+                    return await self._handle_stream(head, reader, writer)
+            data = await self._read_body(head, reader)
+            consumed = True
+            if head.method == "POST":
+                body = await self._post(head, data)
+            elif head.path == "/snapshot":
+                # open()/fstat() touch the filesystem — off the loop.
+                snapshot = await asyncio.get_running_loop().run_in_executor(
+                    None, routes.open_snapshot, self.snapshot_source, head
+                )
+            else:
+                body = routes.get_body(head.path, self.stats_payload)
+        except _DISCONNECTS:
+            raise
+        except Exception as error:  # noqa: BLE001 - classify() frames every failure
+            if isinstance(error, TimeoutError):
+                self.deadline_hits += 1
+            await self._send_error(writer, error, close=not consumed)
+            return consumed and head.keep_alive()
+        if snapshot is not None:
+            await self._send_snapshot(writer, *snapshot)
+        else:
+            await self._send_json(writer, 200, body)
+        return head.keep_alive()
+
+    async def _read_body(self, head: wire.RequestHead, reader: asyncio.StreamReader) -> bytes:
+        """The whole request body, never more than ``MAX_BODY_BYTES``.
+
+        A ``POST`` needs a ``Content-Length`` or chunked body.  A (rare)
+        ``GET`` body is read and dropped, or the next ``readuntil`` on a
+        reused connection would parse body bytes as a request head.
+        """
         if head.is_chunked():
+            body = bytearray()
             async for piece in _chunked_frames(reader):
-                drained += len(piece)
-                if drained > MAX_BODY_BYTES:
-                    await self._send_json(
-                        writer,
-                        413,
-                        {"error": f"body exceeds {MAX_BODY_BYTES} bytes"},
-                        close=True,
-                    )
-                    return False
-            return True
-        remaining = head.content_length() or 0
-        if remaining > MAX_BODY_BYTES:
-            await self._send_json(
-                writer,
-                413,
-                {"error": f"body exceeds {MAX_BODY_BYTES} bytes"},
-                close=True,
-            )
-            return False
-        while remaining > 0:
-            data = await reader.read(min(_COPY_BLOCK, remaining))
-            if not data:
-                return False  # body ended early: the connection is dying anyway
-            remaining -= len(data)
-        return True
+                body += piece
+                routes.check_body_size(len(body))
+            return bytes(body)
+        if head.method == "POST":
+            return await reader.readexactly(routes.body_length(head))
+        length = head.content_length() or 0
+        routes.check_body_size(length)
+        return await reader.readexactly(length)
+
+    async def _post(self, head: wire.RequestHead, data: bytes) -> dict:
+        """A buffered ``POST``: prepare and run on the pool, under the deadline."""
+        payload = routes.parse_body(data)
+        async with asyncio.timeout(_deadline_seconds(head)):
+            job = await self.service.submit_async(routes.prepare, self.service, head, payload)
+            return job.body(await job.run_async(self.service))
 
     # -- response plumbing --------------------------------------------------------------
     async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        close: bool = False,
-        extra: list[tuple[str, str]] | None = None,
+        self, writer: asyncio.StreamWriter, status: int, payload: dict, headers=(), close=False
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        headers = [
-            ("Content-Type", "application/json; charset=utf-8"),
-            ("Content-Length", str(len(body))),
-        ]
-        if extra:
-            headers.extend(extra)
         if close:
-            headers.append(("Connection", "close"))
-        writer.write(_head_bytes(status, headers) + body)
+            headers = (*headers, ("Connection", "close"))
+        writer.write(wire.json_response(status, payload, headers))
         await writer.drain()
 
-    # -- POST /match, POST /validate ----------------------------------------------------
-    async def _handle_post(
-        self, head: wire.RequestHead, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        if head.path not in ("/match", "/validate"):
-            await self._send_json(
-                writer, 404, {"error": f"no such endpoint: {head.path}"}, close=True
-            )
-            return False
-        # Match endpoints default to the historical bare booleans; validate
-        # keeps full violation detail — same defaults as the threaded front.
-        default = "verdict" if head.path == "/match" else "full"
-        detail = wire.negotiate_detail(head.headers, head.query, default=default)
-        deadline = _deadline_seconds(head)
-        if head.wants_ndjson():
-            return await self._handle_stream(head, reader, writer, detail, deadline)
-        return await self._handle_buffered(head, reader, writer, detail, deadline)
-
-    async def _read_buffered_body(
-        self, head: wire.RequestHead, reader: asyncio.StreamReader
-    ) -> dict:
-        length = head.content_length()
-        if head.is_chunked():
-            # Buffered JSON over chunked TE: drain the frames, keep the
-            # same total-size bound as the threaded front.
-            body = bytearray()
-            async for piece in _chunked_frames(reader):
-                body.extend(piece)
-                if len(body) > MAX_BODY_BYTES:
-                    raise WireError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-            data = bytes(body)
-        else:
-            if length is None or length <= 0:
-                raise WireError(400, "a JSON body with Content-Length is required")
-            if length > MAX_BODY_BYTES:
-                raise WireError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-            data = await reader.readexactly(length)
-        try:
-            payload = json.loads(data)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise WireError(400, f"invalid JSON body: {error}") from None
-        if not isinstance(payload, dict):
-            raise WireError(400, "the JSON body must be an object")
-        return payload
-
-    async def _handle_buffered(
-        self,
-        head: wire.RequestHead,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        detail: str,
-        deadline: float | None,
-    ) -> bool:
-        """The threaded front's JSON request/response shapes, loop-hosted."""
-        try:
-            payload = await self._read_buffered_body(head, reader)
-        except WireError as error:
-            await self._send_json(writer, error.status, {"error": str(error)}, close=True)
-            return False
-        try:
-            async with asyncio.timeout(deadline):
-                if head.path == "/match":
-                    status, body = await self._match_buffered(payload, detail)
-                else:
-                    status, body = await self._validate_buffered(payload, detail)
-        except TimeoutError:
-            self.deadline_hits += 1
-            await self._send_json(writer, 504, {"error": "deadline exceeded"})
-            return head.keep_alive()
-        except NotDeterministicError as error:
-            status, body = 422, {"error": str(error)}
-        except ReproError as error:
-            status, body = 400, {"error": str(error)}
-        except (TypeError, ValueError, KeyError) as error:
-            status, body = 400, {"error": f"malformed request: {error!r}"}
-        await self._send_json(writer, status, body)
-        return head.keep_alive()
-
-    async def _match_buffered(self, payload: dict, detail: str) -> tuple[int, dict]:
-        expr = payload.get("pattern")
-        if not isinstance(expr, str):
-            return 400, {"error": 'a string "pattern" field is required'}
-        words = payload.get("words")
-        if not isinstance(words, list):
-            return 400, {"error": 'a list "words" field is required'}
-        for word in words:
-            if isinstance(word, str):
-                continue
-            if isinstance(word, list) and all(isinstance(symbol, str) for symbol in word):
-                continue
-            return 400, {
-                "error": '"words" entries must be strings or lists of symbol strings'
-            }
-        dialect = payload.get("dialect", "paper")
-        pattern = await self.service.submit_async(api.compile, expr, dialect=dialect)
-        if not pattern.is_deterministic:
-            return 422, {"error": f"pattern is not deterministic: {pattern.explain()}"}
-        verdicts = await self.service.match_batch_async(
-            expr, words, dialect=dialect, detail=detail
-        )
-        description = pattern.describe()
-        return 200, {
-            "pattern": expr,
-            "count": len(verdicts),
-            "detail": detail,
-            "verdicts": verdicts,
-            "strategy": description.get("strategy"),
-            "batch_path": description.get("batch_path"),
-        }
-
-    async def _validate_buffered(self, payload: dict, detail: str) -> tuple[int, dict]:
-        documents = payload.get("documents")
-        if not isinstance(documents, list):
-            return 400, {"error": 'a list "documents" field (XML text) is required'}
-        if not all(isinstance(text, str) for text in documents):
-            return 400, {"error": '"documents" must be a list of XML strings'}
-        try:
-            kind, validator = await self._build_validator(payload)
-        except WireError as error:
-            return error.status, {"error": str(error)}
-        verdicts = await self.service.validate_document_texts_async(validator, documents)
-        return 200, {
-            "schema": kind,
-            "count": len(verdicts),
-            "detail": detail,
-            "verdicts": [
-                wire.shape_verdict(v.valid, v.details or v.violations, detail)
-                for v in verdicts
-            ],
-        }
-
-    async def _build_validator(self, header: dict):
-        """The schema named by a request header/payload, built off-loop."""
-        dtd_text = header.get("dtd")
-        xsd_data = header.get("xsd")
-        if (dtd_text is None) == (xsd_data is None):
-            raise WireError(
-                400, 'exactly one of "dtd" (text) or "xsd" (object) is required'
-            )
-        if dtd_text is not None:
-            if not isinstance(dtd_text, str):
-                raise WireError(400, '"dtd" must be the DTD as a string')
-            validator = await self.service.submit_async(
-                self.service.validator_for_dtd, dtd_text
-            )
-            return "dtd", validator
-        if not isinstance(xsd_data, dict):
-            raise WireError(400, '"xsd" must be a schema object')
-        validator = await self.service.submit_async(
-            self.service.schema_for_payload,
-            json.dumps(xsd_data, sort_keys=True),
-            xsd_data,
-        )
-        if not validator.is_valid_schema():
-            raise WireError(
-                422, "schema violates Unique Particle Attribution (non-deterministic)"
-            )
-        return "xsd", validator
+    async def _send_error(
+        self, writer: asyncio.StreamWriter, error: Exception, close: bool = True
+    ) -> None:
+        error = routes.classify(error)
+        await self._send_json(writer, error.status, {"error": str(error)}, error.headers, close)
 
     # -- the streaming pipeline ---------------------------------------------------------
     async def _handle_stream(
-        self,
-        head: wire.RequestHead,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        detail: str,
-        deadline: float | None,
+        self, head: wire.RequestHead, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
         """One NDJSON stream: header line, items, verdicts, trailer.
 
-        Memory bound: items are parsed line by line, batched into
-        :attr:`stream_batch`-sized pool submissions through a queue of
-        :attr:`max_pending` — when the pool lags, ``queue.put`` blocks
-        the reader and TCP backpressure reaches the client.  Verdicts
-        are written in order through ``drain()``.  The ``requests``
+        Errors before the response head goes out are ordinary statuses;
+        after it, an in-stream ``{"error": ...}`` line with no ``"done"``
+        trailer.  Either way the connection closes.  The ``requests``
         counters see the whole stream as *one* request.
         """
         self.streams += 1
-        started = [False]  # set by _run_stream the moment the 200 head goes out
+        started = False
         with self.service.track_request():
             try:
-                async with asyncio.timeout(deadline):
-                    await self._run_stream(head, reader, writer, detail, started)
-            except TimeoutError:
-                self.deadline_hits += 1
-                if not started[0]:
-                    await self._send_json(
-                        writer, 504, {"error": "deadline exceeded"}, close=True
+                async with asyncio.timeout(_deadline_seconds(head)):
+                    lines = _body_lines(reader, head)
+                    header = routes.parse_stream_header(await anext(lines, None))
+                    job = await self.service.submit_async(
+                        routes.prepare, self.service, head, header, True
                     )
+                    # Response head + header line go out before the first
+                    # verdict: from here on, errors surface *in-stream*.
+                    started = True
+                    writer.write(_NDJSON_HEAD + wire.chunk(wire.ndjson_line(job.header())))
+                    await writer.drain()
+                    await self._pump(job, lines, writer)
+            except _DISCONNECTS:
+                raise
+            except Exception as error:  # noqa: BLE001 - classify() frames every failure
+                if isinstance(error, TimeoutError):
+                    self.deadline_hits += 1
+                if not started:
+                    await self._send_error(writer, error)
                 else:
-                    await self._finish_stream_error(writer, "deadline exceeded")
-                return False
-            except WireError as error:
-                if not started[0]:
-                    await self._send_json(
-                        writer, error.status, {"error": str(error)}, close=True
-                    )
-                else:
-                    await self._finish_stream_error(writer, str(error))
-                return False
-            except NotDeterministicError as error:
-                if not started[0]:
-                    await self._send_json(
-                        writer, 422, {"error": str(error)}, close=True
-                    )
-                else:
-                    await self._finish_stream_error(writer, str(error))
-                return False
-            except ReproError as error:
-                # e.g. an XMLSyntaxError from a malformed document parsed
-                # by the pool after verdicts already went out: the error
-                # must surface in-stream, never as a second status line.
-                if not started[0]:
-                    await self._send_json(
-                        writer, 400, {"error": str(error)}, close=True
-                    )
-                else:
-                    await self._finish_stream_error(writer, str(error))
+                    await self._finish_stream_error(writer, str(routes.classify(error)))
                 return False
         return head.keep_alive()
 
-    async def _run_stream(
-        self,
-        head: wire.RequestHead,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        detail: str,
-        started: list,
-    ) -> None:
-        lines = _body_lines(reader, head)
-        header_line = await anext(lines, None)
-        if header_line is None:
-            raise WireError(400, "an NDJSON stream starts with a header object line")
-        try:
-            header = json.loads(header_line)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise WireError(400, f"invalid stream header: {error}") from None
-        if not isinstance(header, dict):
-            raise WireError(400, "the stream header must be a JSON object")
+    async def _pump(self, job, lines, writer: asyncio.StreamWriter) -> None:
+        """Items in, verdicts out, in order, under bounded memory.
 
-        if head.path == "/match":
-            work, shape, response_header = await self._prepare_match(header, detail)
-            parse_item = _parse_word
-        else:
-            work, shape, response_header = await self._prepare_validate(header, detail)
-            parse_item = _parse_document_text
-
-        # Response head + header line go out before the first verdict:
-        # from here on, errors surface *in-stream* (a missing "done"
-        # trailer), never as a status code.
-        started[0] = True
-        writer.write(
-            _head_bytes(
-                200,
-                [
-                    ("Content-Type", "application/x-ndjson; charset=utf-8"),
-                    ("Transfer-Encoding", "chunked"),
-                ],
-            )
-        )
-        writer.write(wire.chunk(wire.ndjson_line(response_header)))
-        await writer.drain()
-
+        Items are parsed line by line, batched into :attr:`stream_batch`
+        pool submissions through a queue of :attr:`max_pending` — when
+        the pool lags, ``queue.put`` blocks the reader and TCP
+        backpressure reaches the client.  Verdicts are written in order
+        through ``drain()``.
+        """
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.max_pending)
 
         async def produce() -> None:
@@ -598,14 +360,14 @@ class AsyncServiceServer:
                 async for line in lines:
                     if not line.strip():
                         continue
-                    batch.append(parse_item(line))
+                    batch.append(job.parse_item(line))
                     if len(batch) >= self.stream_batch:
-                        in_hand = asyncio.wrap_future(self.service.submit(work, batch))
+                        in_hand = asyncio.wrap_future(self.service.submit(job.work, batch))
                         await queue.put(in_hand)
                         in_hand = None
                         batch = []
                 if batch:
-                    in_hand = asyncio.wrap_future(self.service.submit(work, batch))
+                    in_hand = asyncio.wrap_future(self.service.submit(job.work, batch))
                     await queue.put(in_hand)
                     in_hand = None
                 await queue.put(None)
@@ -626,61 +388,20 @@ class AsyncServiceServer:
                 if isinstance(entry, BaseException):
                     raise entry
                 for verdict in await entry:
-                    writer.write(wire.chunk(wire.ndjson_line(shape(verdict))))
+                    writer.write(wire.chunk(wire.ndjson_line(job.shape(verdict))))
                     total += 1
                 await writer.drain()
             writer.write(wire.chunk(wire.ndjson_line({"count": total, "done": True})))
             writer.write(wire.CHUNK_END)
             await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            # Mid-stream client disconnect: stop producing, drop queued
-            # pool work, keep the server healthy for other connections.
-            raise _ResponseStarted() from None
         finally:
+            # Disconnect, deadline or failure: stop producing and drop
+            # queued pool work, keeping the server healthy for others.
             producer.cancel()
             while not queue.empty():
                 leftover = queue.get_nowait()
                 if isinstance(leftover, asyncio.Future):
                     leftover.cancel()
-
-    async def _prepare_match(self, header: dict, detail: str):
-        expr = header.get("pattern")
-        if not isinstance(expr, str):
-            raise WireError(400, 'the stream header needs a string "pattern" field')
-        dialect = header.get("dialect", "paper")
-        pattern = await self.service.submit_async(api.compile, expr, dialect=dialect)
-        if not pattern.is_deterministic:
-            raise WireError(422, f"pattern is not deterministic: {pattern.explain()}")
-        description = pattern.describe()
-        response_header = {
-            "pattern": expr,
-            "strategy": description.get("strategy"),
-            "batch_path": description.get("batch_path"),
-            "detail": detail,
-        }
-        if detail == "verdict":
-            # The untraced hot path: bare booleans straight off match_all.
-            return pattern.match_all, (lambda verdict: verdict), response_header
-
-        def work(chunk: list):
-            # Witness-recording mode; shaping runs on the pool thread so
-            # diagnosis replays never execute on the event loop.
-            results = pattern.match_all(chunk, detail="full")
-            return [wire.shape_match(result, detail) for result in results]
-
-        return work, (lambda verdict: verdict), response_header
-
-    async def _prepare_validate(self, header: dict, detail: str):
-        kind, validator = await self._build_validator(header)
-        verdict_of = self.service._verdict
-
-        def work(chunk: list):
-            return [verdict_of(validator, parse_document(text)) for text in chunk]
-
-        def shape(verdict):
-            return wire.shape_verdict(verdict.valid, verdict.details or verdict.violations, detail)
-
-        return work, shape, {"schema": kind, "detail": detail}
 
     async def _finish_stream_error(self, writer: asyncio.StreamWriter, message: str) -> None:
         """Terminate a started stream: error line, end chunk, no trailer."""
@@ -688,66 +409,17 @@ class AsyncServiceServer:
             writer.write(wire.chunk(wire.ndjson_line({"error": message})))
             writer.write(wire.CHUNK_END)
             await writer.drain()
-        except (ConnectionError, BrokenPipeError):
+        except ConnectionError:
             pass
 
     # -- GET /snapshot ------------------------------------------------------------------
     async def _send_snapshot(
-        self, head: wire.RequestHead, writer: asyncio.StreamWriter
-    ) -> bool:
-        source = self.snapshot_source
-        if not source:
-            await self._send_json(
-                writer, 404, {"error": "this server does not serve a snapshot"}
-            )
-            return head.keep_alive()
-        # open()/fstat() touch the filesystem — off the loop, like every
-        # other blocking call on this path.
-        def _open_snapshot():
-            handle = open(source, "rb")
-            return handle, os.fstat(handle.fileno())
-
-        loop = asyncio.get_running_loop()
-        try:
-            handle, stat = await loop.run_in_executor(None, _open_snapshot)
-        except OSError:
-            await self._send_json(
-                writer, 404, {"error": "no snapshot has been persisted yet"}
-            )
-            return head.keep_alive()
+        self, writer: asyncio.StreamWriter, handle, status: int, headers: list, offset, length
+    ) -> None:
         with handle:
-            etag = wire.snapshot_etag(stat)
-            size = stat.st_size
-            status, offset, length = 200, 0, size
-            if_range = head.headers.get("if-range")
-            if if_range is None or if_range == etag:
-                try:
-                    span = wire.parse_range(head.headers.get("range"), size)
-                except WireError as error:
-                    await self._send_json(
-                        writer,
-                        error.status,
-                        {"error": str(error)},
-                        extra=[("Content-Range", f"bytes */{size}")],
-                    )
-                    return head.keep_alive()
-                if span is not None:
-                    offset, length = span
-                    status = 206
-            headers = [
-                ("Content-Type", "application/octet-stream"),
-                ("Content-Length", str(length)),
-                ("ETag", etag),
-                ("Accept-Ranges", "bytes"),
-            ]
-            if status == 206:
-                headers.append(
-                    ("Content-Range", f"bytes {offset}-{offset + length - 1}/{size}")
-                )
-            writer.write(_head_bytes(status, headers))
+            writer.write(wire.head_bytes(status, headers))
             await writer.drain()
             await self._send_file(writer, handle, offset, length)
-        return head.keep_alive()
 
     async def _send_file(
         self, writer: asyncio.StreamWriter, handle, offset: int, length: int
@@ -782,29 +454,3 @@ class AsyncServiceServer:
             writer.write(block)
             remaining -= len(block)
             await writer.drain()
-
-
-# ---------------------------------------------------------------------------
-# Moved-name shims
-# ---------------------------------------------------------------------------
-
-#: entry points moved to :mod:`repro.service.aio_run` when this module
-#: was split; the old import paths keep working one release with a
-#: :class:`DeprecationWarning`.
-_MOVED_TO_RUN = ("serve", "run_prefork_worker", "_serve_async")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_RUN:
-        import warnings
-
-        warnings.warn(
-            f"repro.service.aio.{name} moved to repro.service.aio_run.{name}; "
-            "import it from repro.service.aio_run",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import aio_run
-
-        return getattr(aio_run, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,10 +1,10 @@
 """Byte-level framing for the asyncio front (:mod:`repro.service.aio`).
 
-Everything here is connection plumbing with no service semantics: HTTP
-response heads, deadline-header parsing, chunked-transfer decoding,
-incremental NDJSON line splitting and per-item JSON parsing.  The
-handlers in :mod:`repro.service.aio` compose these; keeping them apart
-keeps the front module focused on routing and the streaming pipeline.
+Everything here is reader-side connection plumbing with no service
+semantics: deadline-header parsing, chunked-transfer decoding and
+incremental NDJSON line splitting.  The handlers in
+:mod:`repro.service.aio` compose these; what each request means lives in
+:mod:`repro.service.routes`.
 
 All generators yield bounded pieces: a frame is consumed in
 :data:`COPY_BLOCK` blocks and the line splitter buffers at most one
@@ -15,8 +15,6 @@ so memory never scales with the corpus a client streams.
 from __future__ import annotations
 
 import asyncio
-import json
-from http.client import responses as _REASONS
 
 from . import wire
 from .wire import WireError
@@ -26,14 +24,6 @@ DEADLINE_HEADER = "x-repro-deadline-ms"
 
 #: Bytes per read/sendfile-fallback block on body and snapshot paths.
 COPY_BLOCK = 64 * 1024
-
-
-def head_bytes(status: int, headers: list[tuple[str, str]]) -> bytes:
-    """Serialise one HTTP/1.1 response head (status line + headers)."""
-    reason = _REASONS.get(status, "Unknown")
-    lines = [f"HTTP/1.1 {status} {reason}"]
-    lines.extend(f"{name}: {value}" for name, value in headers)
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
 def deadline_seconds(head: wire.RequestHead) -> float | None:
@@ -105,37 +95,10 @@ async def body_lines(reader: asyncio.StreamReader, head: wire.RequestHead):
         yield tail[:-1] if tail.endswith(b"\r") else tail
 
 
-def parse_word_item(line: bytes):
-    """One ``POST /match`` stream item: a word (string or symbol list)."""
-    try:
-        word = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise WireError(400, f"invalid NDJSON item: {error}") from None
-    if isinstance(word, str):
-        return word
-    if isinstance(word, list) and all(isinstance(symbol, str) for symbol in word):
-        return word
-    raise WireError(400, "stream items must be strings or lists of symbol strings")
-
-
-def parse_document_item(line: bytes):
-    """One ``POST /validate`` stream item: an XML document string."""
-    try:
-        text = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise WireError(400, f"invalid NDJSON item: {error}") from None
-    if not isinstance(text, str):
-        raise WireError(400, "stream items must be XML document strings")
-    return text
-
-
 __all__ = [
     "COPY_BLOCK",
     "DEADLINE_HEADER",
     "body_lines",
     "chunked_frames",
     "deadline_seconds",
-    "head_bytes",
-    "parse_document_item",
-    "parse_word_item",
 ]

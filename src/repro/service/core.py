@@ -279,7 +279,7 @@ class ValidationService:
         with self._request():
             pattern = api.compile(expr, dialect=dialect)
             self._remember_pattern(pattern, dialect)
-            return self._map_chunked(self._match_work(pattern, detail), list(words))
+            return self._map_chunked(match_work(pattern, detail), list(words))
 
     async def match_batch_async(
         self,
@@ -304,25 +304,8 @@ class ValidationService:
             pattern = await self.submit_async(api.compile, expr, dialect=dialect)
             self._remember_pattern(pattern, dialect)
             return await self._map_chunked_async(
-                self._match_work(pattern, detail), list(words)
+                match_work(pattern, detail), list(words)
             )
-
-    @staticmethod
-    def _match_work(pattern: api.Pattern, detail: str) -> Callable[[list], list]:
-        """The per-chunk matching closure for one negotiated detail level.
-
-        ``verdict`` is exactly the pre-PR-9 hot path (no tracing, bare
-        booleans); richer levels record witnesses and shape them on the
-        worker thread, so diagnosis replays never run on a serving loop.
-        """
-        if detail == "verdict":
-            return pattern.match_all
-
-        def work(chunk: list) -> list:
-            results = pattern.match_all(chunk, detail="full")
-            return [shape_match(result, detail) for result in results]
-
-        return work
 
     # -- document validation ---------------------------------------------------------------
     def validate_documents(
@@ -343,10 +326,10 @@ class ValidationService:
         """
         self._ensure_open()
         with self._request():
-            validator = DTDValidator(schema) if isinstance(schema, DTD) else schema
+            validator = _validator(schema)
 
             def verdicts(chunk: list) -> list[DocumentVerdict]:
-                return [self._verdict(validator, document) for document in chunk]
+                return [_verdict(validator, document) for document in chunk]
 
             return self._map_chunked(verdicts, list(documents), per_item_cost=8)
 
@@ -364,12 +347,7 @@ class ValidationService:
         """
         self._ensure_open()
         with self._request():
-            validator = DTDValidator(schema) if isinstance(schema, DTD) else schema
-
-            def verdicts(chunk: list) -> list[DocumentVerdict]:
-                return [self._verdict(validator, parse_document(text)) for text in chunk]
-
-            return self._map_chunked(verdicts, list(texts), per_item_cost=8)
+            return self._map_chunked(text_work(schema), list(texts), per_item_cost=8)
 
     async def validate_document_texts_async(
         self,
@@ -383,27 +361,7 @@ class ValidationService:
         """
         self._ensure_open()
         with self._request():
-            validator = DTDValidator(schema) if isinstance(schema, DTD) else schema
-
-            def verdicts(chunk: list) -> list[DocumentVerdict]:
-                return [self._verdict(validator, parse_document(text)) for text in chunk]
-
-            return await self._map_chunked_async(verdicts, list(texts), per_item_cost=8)
-
-    @staticmethod
-    def _verdict(
-        validator: DTDValidator | XSDSchema, document: Document | Element
-    ) -> DocumentVerdict:
-        if isinstance(validator, XSDSchema):
-            root = document.root if isinstance(document, Document) else document
-            result = validator.validate_element(root)
-        else:
-            result = validator.validate(document)
-        return DocumentVerdict(
-            result.valid,
-            tuple(violation.describe() for violation in result),
-            details=tuple(result),
-        )
+            return await self._map_chunked_async(text_work(schema), list(texts), per_item_cost=8)
 
     # -- wire-payload schema memo --------------------------------------------------------
     def validator_for_dtd(self, dtd_text: str) -> DTDValidator:
@@ -499,6 +457,56 @@ class ValidationService:
         if autosizer is not None:
             stats["autosize"] = autosizer.stats()
         return stats
+
+
+def match_work(pattern: api.Pattern, detail: str) -> Callable[[list], list]:
+    """The per-chunk matching closure for one negotiated detail level.
+
+    ``verdict`` is exactly the pre-PR-9 hot path (no tracing, bare
+    booleans); richer levels record witnesses and shape them on the
+    worker thread, so diagnosis replays never run on a serving loop.
+    Shared by the batch entry points and the streaming front.
+    """
+    if detail == "verdict":
+        return pattern.match_all
+
+    def work(chunk: list) -> list:
+        results = pattern.match_all(chunk, detail="full")
+        return [shape_match(result, detail) for result in results]
+
+    return work
+
+
+def text_work(schema: DTDValidator | XSDSchema | DTD) -> Callable[[list], list]:
+    """The per-chunk closure that parses XML texts and validates them.
+
+    Parsing is usually the dominant per-document cost, so it runs inside
+    the closure, on whichever pool thread takes the chunk.  Shared by the
+    batch entry points and the streaming front.
+    """
+    validator = _validator(schema)
+
+    def verdicts(chunk: list) -> list[DocumentVerdict]:
+        return [_verdict(validator, parse_document(text)) for text in chunk]
+
+    return verdicts
+
+
+def _validator(schema: DTDValidator | XSDSchema | DTD) -> DTDValidator | XSDSchema:
+    return DTDValidator(schema) if isinstance(schema, DTD) else schema
+
+
+def _verdict(validator: DTDValidator | XSDSchema, document: Document | Element) -> DocumentVerdict:
+    if isinstance(validator, XSDSchema):
+        root = document.root if isinstance(document, Document) else document
+        result = validator.validate_element(root)
+    else:
+        result = validator.validate(document)
+    return DocumentVerdict(
+        result.valid,
+        tuple(violation.describe() for violation in result),
+        details=tuple(result),
+    )
 
 
 def _percentile_ms(sorted_latencies: list[float], quantile: float) -> float | None:

@@ -46,21 +46,15 @@ Endpoints (JSON in, JSON out; shapes documented in ``docs/service.md``):
 
 from __future__ import annotations
 
-import json
-import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qsl
 
-from ..errors import NotDeterministicError, ReproError
-from . import wire
+from . import routes, wire
 from .core import DEFAULT_WORKERS, ValidationService
+from .routes import MAX_BODY_BYTES as MAX_BODY_BYTES  # noqa: PLC0414 - historical import path
 
 #: Default bind address of ``python -m repro.service``.
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8421
-
-#: Reject request bodies beyond this size (bytes) instead of buffering them.
-MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -98,7 +92,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests into the shared service and speaks JSON."""
+    """Socket I/O for the threaded front; :mod:`~repro.service.routes`
+    decides what every request means."""
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
@@ -113,113 +108,56 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         return self.server.service
 
     # -- plumbing -----------------------------------------------------------------------
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
+    def _head(self) -> wire.RequestHead:
+        headers = {name.lower(): value for name, value in self.headers.items()}
+        return wire.make_head(self.command, self.path, self.request_version, headers)
+
+    def _stamp(self) -> list[tuple[str, str]]:
+        return [("Server", self.version_string()), ("Date", self.date_time_string())]
+
+    def _send_json(self, status: int, payload: dict, headers=()) -> None:
+        extra = [*self._stamp(), *headers]
         if self.close_connection:
             # Error paths that could not consume the request body set this;
             # advertise the close instead of silently dropping the socket.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            extra.append(("Connection", "close"))
+        # One write for head and body (see wire.json_response).
+        self.wfile.write(wire.json_response(status, payload, extra))
 
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
-
-    def _read_json(self) -> dict | None:
-        """The request body as a JSON object, or ``None`` after a 4xx reply.
-
-        Error replies issued *before* the body has been consumed also mark
-        the connection for closing: under HTTP/1.1 keep-alive the unread
-        body bytes would otherwise be parsed as the client's next request
-        line, desyncing the connection.
-        """
+    def _attempt(self, answer):
+        """``answer()``, or ``None`` once the error it raised has been answered."""
         try:
-            length = int(self.headers.get("Content-Length", "") or 0)
-        except ValueError:
-            length = -1
-        if length <= 0:
-            self.close_connection = True  # unknown body length: cannot resync
-            self._send_error_json(400, "a JSON body with Content-Length is required")
-            return None
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True  # refuse to drain an oversized body
-            self._send_error_json(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-            return None
-        try:
-            payload = json.loads(self.rfile.read(length))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            self._send_error_json(400, f"invalid JSON body: {error}")
-            return None
-        if not isinstance(payload, dict):
-            self._send_error_json(400, "the JSON body must be an object")
-            return None
-        return payload
+            return answer()
+        except ConnectionError:
+            self.close_connection = True  # the client is gone: nothing to frame
+        except Exception as error:  # noqa: BLE001 - classify() frames every failure
+            error = routes.classify(error)
+            self._send_json(error.status, {"error": str(error)}, error.headers)
+        return None
 
     # -- routes -------------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
-        if self.path == "/stats":
-            self._send_json(200, self.server.stats_payload())
-        elif self.path == "/snapshot":
-            self._send_snapshot()
-        elif self.path in ("/", "/healthz"):
-            self._send_json(200, {"status": "ok", "service": "repro"})
-        else:
-            self._send_error_json(404, f"no such endpoint: {self.path}")
+        head = self._head()
+        if head.path == "/snapshot":
+            source = self.server.snapshot_source
+            snapshot = self._attempt(lambda: routes.open_snapshot(source, head))
+            if snapshot is not None:
+                self._send_snapshot(*snapshot)
+            return
+        body = self._attempt(lambda: routes.get_body(head.path, self.server.stats_payload))
+        if body is not None:
+            self._send_json(200, body)
 
-    def _send_snapshot(self) -> None:
-        """Stream the current snapshot file (the fleet-bootstrap endpoint).
+    def _send_snapshot(self, handle, status: int, headers: list, offset: int, length: int) -> None:
+        """Stream the snapshot file (the fleet-bootstrap endpoint).
 
-        The file is written atomically (temp + ``os.replace``), so the
-        handle opened here always streams one *complete* snapshot — a
-        concurrent refresh replaces the directory entry but never the
-        bytes under an open descriptor.  Responses carry a strong
-        ``ETag`` (:func:`~repro.service.wire.snapshot_etag`) and honour
-        single-byte-range requests with ``If-Range``, so a bootstrapping
-        host can resume an interrupted download — and a resume across a
-        refresh (the tag changed with the inode) falls back to a full
-        200 instead of splicing two snapshot generations together.
+        Strong ``ETag``, single ranges and ``If-Range`` as decided by
+        :func:`~repro.service.wire.snapshot_reply`, so a bootstrapping
+        host can resume an interrupted download without ever splicing
+        two snapshot generations together.
         """
-        source = getattr(self.server, "snapshot_source", None)
-        if not source:
-            self._send_error_json(404, "this server does not serve a snapshot")
-            return
-        try:
-            handle = open(source, "rb")
-        except OSError:
-            self._send_error_json(404, "no snapshot has been persisted yet")
-            return
         with handle:
-            stat = os.fstat(handle.fileno())
-            etag = wire.snapshot_etag(stat)
-            size = stat.st_size
-            status, offset, length = 200, 0, size
-            if_range = self.headers.get("If-Range")
-            if if_range is None or if_range == etag:
-                try:
-                    span = wire.parse_range(self.headers.get("Range"), size)
-                except wire.WireError as error:
-                    self.send_response(error.status)
-                    body = json.dumps({"error": str(error)}).encode("utf-8")
-                    self.send_header("Content-Type", "application/json; charset=utf-8")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.send_header("Content-Range", f"bytes */{size}")
-                    self.end_headers()
-                    self.wfile.write(body)
-                    return
-                if span is not None:
-                    offset, length = span
-                    status = 206
-            self.send_response(status)
-            self.send_header("Content-Type", "application/octet-stream")
-            self.send_header("Content-Length", str(length))
-            self.send_header("ETag", etag)
-            self.send_header("Accept-Ranges", "bytes")
-            if status == 206:
-                self.send_header("Content-Range", f"bytes {offset}-{offset + length - 1}/{size}")
-            self.end_headers()
+            self.wfile.write(wire.head_bytes(status, [*self._stamp(), *headers]))
             handle.seek(offset)
             remaining = length
             while remaining > 0:
@@ -230,136 +168,23 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 remaining -= len(block)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
-        path = self.path.partition("?")[0]
-        handler = {"/match": self._handle_match, "/validate": self._handle_validate}.get(path)
-        if handler is None:
+        body = self._attempt(self._post)
+        if body is not None:
+            self._send_json(200, body)
+
+    def _post(self) -> dict:
+        head = self._head()
+        if head.path not in routes.POST_ROUTES:
             self.close_connection = True  # body unread: keep-alive would desync
-            self._send_error_json(404, f"no such endpoint: {path}")
-            return
-        payload = self._read_json()
-        if payload is None:
-            return
+            raise routes.not_found(head.path)
         try:
-            handler(payload)
-        except wire.WireError as error:
-            self._send_error_json(error.status, str(error))
-        except NotDeterministicError as error:
-            # Unprocessable input, not a server fault: the expression (or a
-            # content model) fails the paper's determinism requirement.
-            self._send_error_json(422, str(error))
-        except ReproError as error:
-            self._send_error_json(400, str(error))
-        except (TypeError, ValueError, KeyError) as error:
-            self._send_error_json(400, f"malformed request: {error!r}")
-
-    def _negotiated_detail(self, default: str) -> str:
-        """The wire detail level for this request (query > header > Accept).
-
-        Shares :func:`~repro.service.wire.negotiate_detail` with the
-        asyncio front so both fronts honour the same precedence and
-        reject unknown levels with the same 400.
-        """
-        query = dict(parse_qsl(self.path.partition("?")[2], keep_blank_values=True))
-        headers = {name.lower(): value for name, value in self.headers.items()}
-        return wire.negotiate_detail(headers, query, default=default)
-
-    # -- endpoint bodies -----------------------------------------------------------------
-    def _handle_match(self, payload: dict) -> None:
-        expr = payload.get("pattern")
-        if not isinstance(expr, str):
-            self._send_error_json(400, 'a string "pattern" field is required')
-            return
-        words = payload.get("words")
-        if not isinstance(words, list):
-            self._send_error_json(400, 'a list "words" field is required')
-            return
-        # Reject malformed entries up front with a clean 400: left to the
-        # worker pool, a non-string word surfaces as a repr'd TypeError
-        # after a wasted (chunked) fan-out.
-        for word in words:
-            if isinstance(word, str):
-                continue
-            if isinstance(word, list) and all(isinstance(symbol, str) for symbol in word):
-                continue
-            self._send_error_json(
-                400, '"words" entries must be strings or lists of symbol strings'
-            )
-            return
-        dialect = payload.get("dialect", "paper")
-        detail = self._negotiated_detail(default="verdict")
-        from .. import api
-
-        pattern = api.compile(expr, dialect=dialect)
-        if not pattern.is_deterministic:
-            self._send_error_json(422, f"pattern is not deterministic: {pattern.explain()}")
-            return
-        verdicts = self.service.match_batch(expr, words, dialect=dialect, detail=detail)
-        description = pattern.describe()
-        self._send_json(
-            200,
-            {
-                "pattern": expr,
-                "count": len(verdicts),
-                "detail": detail,
-                "verdicts": verdicts,
-                "strategy": description.get("strategy"),
-                "batch_path": description.get("batch_path"),
-            },
-        )
-
-    def _handle_validate(self, payload: dict) -> None:
-        detail = self._negotiated_detail(default="full")
-        documents = payload.get("documents")
-        if not isinstance(documents, list):
-            self._send_error_json(400, 'a list "documents" field (XML text) is required')
-            return
-        # The documents list must be fully validated *before* any schema
-        # is built: validator_for_dtd/schema_for_payload memoize into the
-        # MEMO_SIZE-bounded LRU, so a malformed request that got this far
-        # could evict a warm validator another client is relying on.
-        if not all(isinstance(text, str) for text in documents):
-            self._send_error_json(400, '"documents" must be a list of XML strings')
-            return
-        dtd_text = payload.get("dtd")
-        xsd_data = payload.get("xsd")
-        if (dtd_text is None) == (xsd_data is None):
-            self._send_error_json(400, 'exactly one of "dtd" (text) or "xsd" (object) is required')
-            return
-        if dtd_text is not None:
-            if not isinstance(dtd_text, str):
-                self._send_error_json(400, '"dtd" must be the DTD as a string')
-                return
-            validator = self.service.validator_for_dtd(dtd_text)
-            kind = "dtd"
-        else:
-            if not isinstance(xsd_data, dict):
-                self._send_error_json(400, '"xsd" must be a schema object')
-                return
-            validator = self.service.schema_for_payload(
-                json.dumps(xsd_data, sort_keys=True), xsd_data
-            )
-            if not validator.is_valid_schema():
-                self._send_error_json(
-                    422, "schema violates Unique Particle Attribution (non-deterministic)"
-                )
-                return
-            kind = "xsd"
-        # Parsing happens inside the worker fan-out, chunk by chunk — for
-        # large corpora it is the dominant per-document cost and must not
-        # run serially on this handler thread.
-        verdicts = self.service.validate_document_texts(validator, documents)
-        self._send_json(
-            200,
-            {
-                "schema": kind,
-                "count": len(verdicts),
-                "detail": detail,
-                "verdicts": [
-                    wire.shape_verdict(v.valid, v.details or v.violations, detail)
-                    for v in verdicts
-                ],
-            },
-        )
+            length = routes.body_length(head)
+        except wire.WireError:
+            self.close_connection = True  # unknown or refused body: cannot resync
+            raise
+        payload = routes.parse_body(self.rfile.read(length))
+        job = routes.prepare(self.service, head, payload)
+        return job.body(job.run(self.service))
 
 
 def serve(

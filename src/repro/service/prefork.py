@@ -315,6 +315,12 @@ class PreforkHTTPServer(ServiceHTTPServer):
         snapshot_source: str | None = None,
     ):
         address = listen_socket.getsockname()[:2]
+        # Every worker polls this socket, so one connection can wake
+        # several; the losers' accept() must fail fast (BlockingIOError,
+        # which socketserver skips) instead of blocking serve_forever —
+        # a worker parked in accept() never sees shutdown().  The flag
+        # lives on the shared open file, so it holds fleet-wide.
+        listen_socket.setblocking(False)
         # Skip bind/activate: the parent already did both on the socket
         # we are adopting; TCPServer's own (unbound) socket is discarded.
         ThreadingHTTPServer.__init__(self, address, ServiceRequestHandler, bind_and_activate=False)

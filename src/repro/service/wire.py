@@ -19,10 +19,16 @@ unit-testable without a socket:
   (violation *counts*), ``full`` (structured violation objects — since
   PR 9 with element path, child index and expected tags; match results
   are shaped the same way by :func:`shape_match`);
+* response heads (:func:`head_bytes`) and whole JSON responses
+  (:func:`json_response`), serialised once so a reply leaves in one
+  write on either front;
 * snapshot download integrity (:func:`snapshot_etag`,
-  :func:`parse_range`): strong validators derived from the file identity
-  so a ranged resume can never silently splice two snapshot generations
-  together.
+  :func:`parse_range`, :func:`snapshot_reply`): strong validators derived
+  from the file identity so a ranged resume can never silently splice two
+  snapshot generations together.
+
+What a request *means* (payload checks, preparation, the error map)
+lives one layer up, in :mod:`repro.service.routes`.
 
 >>> head = parse_request_head(b"POST /match?detail=summary HTTP/1.1\\r\\nHost: x\\r\\n\\r\\n")
 >>> head.method, head.path, head.query
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from http.client import responses as _REASONS
 from urllib.parse import parse_qsl, unquote
 
 #: Reject request heads (request line + headers) beyond this size.
@@ -57,11 +64,12 @@ CHUNK_END = b"0\r\n\r\n"
 
 
 class WireError(Exception):
-    """A protocol violation with the HTTP status it should produce."""
+    """A request error with the HTTP status (and extra headers) it produces."""
 
-    def __init__(self, status: int, message: str):
+    def __init__(self, status: int, message: str, headers: tuple[tuple[str, str], ...] = ()):
         super().__init__(message)
         self.status = status
+        self.headers = headers
 
 
 @dataclass(slots=True)
@@ -134,16 +142,47 @@ def parse_request_head(head: bytes) -> RequestHead:
         if not sep or not name or name != name.strip():
             raise WireError(400, f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
+    return make_head(method, target, version, headers)
+
+
+def make_head(method: str, target: str, version: str, headers: dict[str, str]) -> RequestHead:
+    """A :class:`RequestHead` from a parsed request line and lower-cased headers.
+
+    The threaded front builds its heads here from what the stdlib parser
+    read, so both fronts route on the same unquoted path and query.
+    """
     path, _, query_text = target.partition("?")
-    query = {key: value for key, value in parse_qsl(query_text, keep_blank_values=True)}
     return RequestHead(
         method=method,
         target=target,
         path=unquote(path),
         version=version,
-        query=query,
+        query=dict(parse_qsl(query_text, keep_blank_values=True)),
         headers=headers,
     )
+
+
+def head_bytes(status: int, headers) -> bytes:
+    """Serialise one HTTP/1.1 response head (status line + headers)."""
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
+    lines.extend(f"{name}: {value}" for name, value in headers)
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def json_response(status: int, payload, headers=()) -> bytes:
+    """A whole buffered JSON response, head and body in one buffer.
+
+    Written with one ``send``: a head and body sent apart would let
+    Nagle's algorithm hold the body until the client's delayed ACK of
+    the head, about 40 ms on every keep-alive reply.
+    """
+    body = json.dumps(payload).encode("utf-8")
+    head = [
+        ("Content-Type", "application/json; charset=utf-8"),
+        ("Content-Length", str(len(body))),
+        *headers,
+    ]
+    return head_bytes(status, head) + body
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +353,39 @@ def parse_range(header_value: str | None, size: int) -> tuple[int, int] | None:
     except ValueError:
         return None
     if offset >= size:
-        raise WireError(416, f"range {header_value!r} outside a {size}-byte snapshot")
+        raise WireError(
+            416,
+            f"range {header_value!r} outside a {size}-byte snapshot",
+            (("Content-Range", f"bytes */{size}"),),
+        )
     if end < offset:
         return None
     end = min(end, size - 1)
     return offset, end - offset + 1
+
+
+def snapshot_reply(stat, headers: dict[str, str]) -> tuple[int, list, int, int]:
+    """``(status, response headers, offset, length)`` for ``GET /snapshot``.
+
+    *stat* describes the open snapshot file, *headers* are the request's
+    (lower-cased).  A ``Range`` is honoured only when ``If-Range`` is
+    absent or names the current ETag: a resume across a refresh gets the
+    whole new file (200), never a 206 spliced from two generations.
+    """
+    etag = snapshot_etag(stat)
+    size = stat.st_size
+    status, offset, length = 200, 0, size
+    if_range = headers.get("if-range")
+    if if_range is None or if_range == etag:
+        span = parse_range(headers.get("range"), size)
+        if span is not None:
+            status, (offset, length) = 206, span
+    reply = [
+        ("Content-Type", "application/octet-stream"),
+        ("Content-Length", str(length)),
+        ("ETag", etag),
+        ("Accept-Ranges", "bytes"),
+    ]
+    if status == 206:
+        reply.append(("Content-Range", f"bytes {offset}-{offset + length - 1}/{size}"))
+    return status, reply, offset, length

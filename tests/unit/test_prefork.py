@@ -115,6 +115,51 @@ class TestClusterStatsView:
             service.close()
 
 
+class TestSharedListenSocket:
+    def test_workers_sharing_a_socket_shut_down_after_contended_accepts(self):
+        """Regression: every worker polls the one listening socket, so a
+        connection can wake two of them.  On a blocking socket the loser
+        sat in accept() inside serve_forever and shutdown() never
+        returned — the prefork fleet hung on SIGTERM."""
+        import socket
+        import threading
+
+        from repro.service.core import ValidationService
+        from repro.service.prefork import PreforkHTTPServer
+
+        listen = socket.socket()
+        listen.bind(("127.0.0.1", 0))
+        listen.listen(16)
+        port = listen.getsockname()[1]
+        services = [ValidationService(workers=1) for _ in range(2)]
+        servers = [PreforkHTTPServer(listen, service) for service in services]
+        for server in servers:
+            threading.Thread(
+                target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+            ).start()
+        try:
+            for _ in range(6):
+                assert _get(port, "/healthz")["status"] == "ok"
+            stoppers = [
+                threading.Thread(target=server.shutdown, daemon=True) for server in servers
+            ]
+            for stopper in stoppers:
+                stopper.start()
+            for stopper in stoppers:
+                stopper.join(timeout=5)
+            assert not any(stopper.is_alive() for stopper in stoppers), (
+                "a worker stayed blocked in accept() and never shut down"
+            )
+        finally:
+            try:
+                listen.shutdown(socket.SHUT_RDWR)  # wakes an accept() left blocked
+            except OSError:
+                pass
+            listen.close()
+            for service in services:
+                service.close()
+
+
 def _wait_for_port(process: subprocess.Popen, deadline_s: float = 30.0) -> int:
     deadline = time.monotonic() + deadline_s
     while time.monotonic() < deadline:

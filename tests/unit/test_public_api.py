@@ -9,7 +9,9 @@ none of it changed the published surface:
 * the signatures user code calls (``compile``, ``match``, ``Pattern``)
   are unchanged;
 * internal names that moved keep their old import paths alive through
-  ``DeprecationWarning`` shims resolving to the *same* objects.
+  ``DeprecationWarning`` shims resolving to the *same* objects, until
+  their grace round ends: the ``repro.service.aio`` entry-point shims are
+  retired, and the lock below now pins that the old paths are gone.
 
 The shim tests use :func:`pytest.deprecated_call`, so they still pass
 under the CI diagnostics leg's ``-W error::DeprecationWarning`` — while
@@ -132,15 +134,15 @@ class TestMovedNameShims:
             shimmed = getattr(api, old_name)
         assert shimmed is getattr(cache, target)
 
-    def test_aio_entry_point_shims(self):
+    def test_aio_entry_points_live_only_in_aio_run(self):
+        """The ``repro.service.aio`` shims are retired: the entry points
+        resolve from ``aio_run`` alone, and the old paths raise."""
         from repro.service import aio, aio_run
 
-        with pytest.deprecated_call(match="moved to repro.service.aio_run"):
-            shimmed = aio.serve
-        assert shimmed is aio_run.serve
-        with pytest.deprecated_call(match="moved to repro.service.aio_run"):
-            shimmed = aio.run_prefork_worker
-        assert shimmed is aio_run.run_prefork_worker
+        for name in ("serve", "run_prefork_worker", "_serve_async"):
+            assert callable(getattr(aio_run, name))
+            with pytest.raises(AttributeError):
+                getattr(aio, name)
 
     def test_unknown_attributes_still_raise(self):
         with pytest.raises(AttributeError):

@@ -346,6 +346,54 @@ class TestRoutes:
 
         asyncio.run(scenario())
 
+    def test_buffered_json_over_a_chunked_body(self):
+        """Regression: the chunked branch of the buffered body reader
+        called an unimported name, so the connection dropped unanswered."""
+        async def scenario():
+            async with Front() as front:
+                payload = json.dumps({"pattern": PATTERN, "words": ["abba", "bb"]}).encode()
+                body = b"".join(
+                    f"{len(payload[low : low + 9]):x}\r\n".encode()
+                    + payload[low : low + 9]
+                    + b"\r\n"
+                    for low in range(0, len(payload), 9)
+                )
+                status, _, raw = await _roundtrip(
+                    front.port,
+                    "POST",
+                    "/match",
+                    {"Content-Type": "application/json", "Transfer-Encoding": "chunked"},
+                    body + b"0\r\n\r\n",
+                )
+                assert status == 200
+                assert json.loads(raw)["verdicts"] == [True, False]
+
+        asyncio.run(scenario())
+
+    def test_get_with_a_chunked_body_is_drained_for_keep_alive(self):
+        """Regression: a GET with a chunked body dropped the connection
+        (the same unimported name) instead of draining and answering."""
+        async def scenario():
+            async with Front() as front:
+                reader, writer = await _open(front.port)
+                try:
+                    writer.write(
+                        _request_bytes("GET", "/healthz", {"Transfer-Encoding": "chunked"})
+                        + b"5\r\nhello\r\n0\r\n\r\n"
+                    )
+                    await writer.drain()
+                    status, _, _ = await _read_response(reader)
+                    assert status == 200
+                    writer.write(_request_bytes("GET", "/stats", {}))
+                    await writer.drain()
+                    status, _, raw = await _read_response(reader)
+                    assert status == 200
+                    assert "aio" in json.loads(raw)
+                finally:
+                    writer.close()
+
+        asyncio.run(scenario())
+
     def test_keep_alive_carries_sequential_requests(self):
         async def scenario():
             async with Front() as front:

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.service import ServiceHTTPServer, ValidationService
+from repro.service.http import ServiceRequestHandler
 
 DTD_TEXT = "<!ELEMENT a (b, c?)> <!ELEMENT b EMPTY> <!ELEMENT c EMPTY>"
 
@@ -284,3 +285,55 @@ class TestPlumbing:
         for thread in threads:
             thread.join()
         assert not failures, failures[0]
+
+
+class TestSingleWriteReplies:
+    def test_each_buffered_json_reply_is_one_write(self):
+        """Head and body leave in one write.  Written apart, Nagle's
+        algorithm held every keep-alive reply's body until the client's
+        delayed ACK of the head: about 40 ms per request."""
+        import http.client
+
+        writes: list[bytes] = []
+
+        class RecordingHandler(ServiceRequestHandler):
+            def setup(self):
+                super().setup()
+                write = self.wfile.write
+
+                def recorded(data):
+                    writes.append(bytes(data))
+                    return write(data)
+
+                self.wfile.write = recorded
+
+        service = ValidationService(workers=2)
+        server = ServiceHTTPServer(("127.0.0.1", 0), service)
+        server.RequestHandlerClass = RecordingHandler
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        requests = [
+            ("POST", "/match", {"pattern": "(ab)*", "words": ["ab", "a"]}, 200),
+            ("POST", "/validate", {"dtd": DTD_TEXT, "documents": ["<a><b/></a>"]}, 200),
+            ("POST", "/match", {"pattern": "(a*ba+bb)*", "words": []}, 422),
+            ("GET", "/stats", None, 200),
+        ]
+        connection = http.client.HTTPConnection("127.0.0.1", server.server_address[1])
+        try:
+            for method, path, payload, status in requests:
+                body = json.dumps(payload) if payload is not None else None
+                connection.request(
+                    method, path, body=body, headers={"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                assert response.status == status
+                reply = response.read()
+                assert writes[-1].startswith(f"HTTP/1.1 {status} ".encode())
+                assert writes[-1].endswith(reply)
+            assert len(writes) == len(requests)
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            service.close()
+            thread.join(timeout=5)
